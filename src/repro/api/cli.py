@@ -313,12 +313,12 @@ def cmd_trace_replay(args: argparse.Namespace) -> int:
     if args.loop:
         data["serving"]["arrivals"]["options"] = {"mode": "loop"}
     engine = Engine(EngineConfig.from_dict(data))
-    # Build the replay process once and hand its trace to serve() directly:
+    # Build the replay process once and hand its stream to serve() directly:
     # the record count defaults num_requests, and memoized load_records
     # means the file is parsed a single time.
     process = engine.build_arrivals()
     count = args.num_requests or len(process.load_records())
-    report = engine.serve(process.trace(engine.build_store().keys(), count))
+    report = engine.serve(process.stream(engine.build_store().keys(), count))
     if args.json:
         print(report.to_json())
         return 0

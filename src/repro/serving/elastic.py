@@ -64,7 +64,7 @@ from repro.serving.fleet import (
     _merge_cache_stats,
     load_imbalance_factor,
 )
-from repro.serving.metrics import ServedRequest, build_report
+from repro.serving.metrics import RequestRecords, ServedRequest, build_report
 from repro.serving.server import InferenceServer
 
 #: Drop reason for arrivals that never found a live shard to serve them.
@@ -538,7 +538,7 @@ class ElasticFleet:
                 shard_reports.append(ShardReport(shard_id, 0, None))
                 continue
             shard_report = build_report(
-                sorted(state.served, key=lambda r: r.request_id),
+                RequestRecords.from_records(state.served),
                 bandwidth=state.base_bandwidth,
                 store_requests=state.store_requests,
                 cache_stats=state.cache_stats,
@@ -562,7 +562,7 @@ class ElasticFleet:
 
         self.last_served = sorted(merged_served, key=lambda r: r.request_id)
         fleet = build_report(
-            self.last_served,
+            RequestRecords.from_records(self.last_served),
             bandwidth=base_bandwidth,
             store_requests=store_requests,
             cache_stats=_merge_cache_stats(cache_stats),

@@ -475,7 +475,7 @@ class ShardedFleet:
         Routing is memoized per key (the ring hash is pure), and a columnar
         :class:`~repro.serving.workload.ArrivalStream` partitions into
         sub-streams by index — no per-request objects — so each shard's
-        fast core receives a cursor-mergeable stream.
+        event loop receives a cursor-mergeable stream.
         """
         route_of: dict[str, int] = {}
 
@@ -549,24 +549,14 @@ class ShardedFleet:
             if server.cache is not None:
                 cache_stats.append(server.cache.stats)
 
-        # Merge the shards' raw results.  When every active shard ran the
-        # fast core, concatenate their columnar records (build_report sorts
-        # by request id either way, so the fleet statistics are identical);
-        # any scalar-path shard falls the whole merge back to objects.
-        merged_served: "RequestRecords | list" = []
-        if active_servers and all(
-            server.last_records is not None for server in active_servers
-        ):
-            merged_served = RequestRecords()
-            for server in active_servers:
-                merged_served.extend(server.last_records)
-        else:
-            merged_served = []
-            for server in active_servers:
-                merged_served.extend(server.last_served)
+        # Merge the shards' raw columnar results (build_report sorts by
+        # request id, so concatenation order cannot change a statistic).
+        merged = RequestRecords()
+        for server in active_servers:
+            merged.extend(server.last_records)
 
         fleet = build_report(
-            merged_served,
+            merged,
             bandwidth=self.servers[0].bandwidth,
             store_requests=store_requests,
             cache_stats=_merge_cache_stats(cache_stats),

@@ -1,8 +1,8 @@
 """Per-run SLO reporting for the serving simulator.
 
-A serving run produces one :class:`ServedRequest` per completed request
-with its full timeline (arrival → ready → dispatch → completion) and byte
-provenance (store vs cache).  :func:`build_report` folds those into an
+A serving run records every completed request with its full timeline
+(arrival → ready → dispatch → completion) and byte provenance (store vs
+cache).  :func:`build_report` folds those records into an
 :class:`SLOReport`: throughput, latency percentiles, batching behaviour,
 cache effectiveness, admission drops, prefetch payoff, bytes read versus
 the all-data baseline, and the dollar cost of the bytes actually moved
@@ -13,12 +13,12 @@ deterministic runs can be compared with ``==``; they are also
 the unified ``to_dict``/``from_dict`` schema the CLI and sweeps share.
 
 Million-request runs cannot afford one Python object per completion, so
-the server's fast core accumulates the same fourteen fields columnar in a
+the server accumulates the fourteen fields columnar in a
 :class:`RequestRecords` (typed ``array`` columns, zero per-request object
-churn).  :func:`build_report` accepts either representation and computes
-every statistic with the exact same IEEE-754 operations in the exact same
-order, so the two paths produce byte-identical reports — the property the
-golden-parity suite pins.
+churn), and :func:`build_report` folds those columns directly.
+:class:`ServedRequest` remains the per-request object view: the payload of
+:class:`~repro.serving.events.RequestCompleted` and the output of
+:meth:`RequestRecords.materialize`.
 
 An empty record list (every arrival dropped, or a zero-length run) is a
 well-defined report — zero requests, ``None`` percentiles — not an error:
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class ServedRequest:
 
 
 class RequestRecords:
-    """Columnar accumulator for completed requests (the fast-core store).
+    """Columnar accumulator for completed requests (the only record store).
 
     Holds the same fourteen fields as :class:`ServedRequest`, one typed
     ``array`` column per field instead of one frozen object per request —
@@ -86,7 +86,7 @@ class RequestRecords:
 
     :func:`build_report` consumes the columns directly; :meth:`materialize`
     rebuilds the equivalent :class:`ServedRequest` list for consumers that
-    want objects (tests, tracing assertions, the legacy fleet merge).
+    want objects, and :meth:`from_records` goes the other way.
     """
 
     __slots__ = (
@@ -158,8 +158,16 @@ class RequestRecords:
         self.predictions.append(prediction)
         self.labels.append(-1 if label is None else label)
 
+    @classmethod
+    def from_records(cls, served: Iterable[ServedRequest]) -> "RequestRecords":
+        """Columnarize object records, in iteration order."""
+        records = cls()
+        for record in served:
+            records.append_record(record)
+        return records
+
     def append_record(self, record: ServedRequest) -> None:
-        """Append an existing object record (used when merging mixed shards)."""
+        """Append an existing object record."""
         self.append(
             record.request_id,
             record.key,
@@ -332,7 +340,7 @@ def _percentile_ms(latencies: np.ndarray, q: float) -> float:
 
 
 def build_report(
-    served: "Sequence[ServedRequest] | RequestRecords",
+    records: RequestRecords,
     bandwidth: StorageBandwidthModel,
     store_requests: int,
     cache_stats: CacheStats | None = None,
@@ -346,27 +354,16 @@ def build_report(
 
     ``store_requests`` is the number of GET operations issued against the
     store (a full cache hit issues none), which the bandwidth model prices
-    separately from the bytes moved.  An empty ``served`` sequence — every
-    arrival dropped, or nothing offered — yields the well-defined empty
-    report (zero requests, ``None`` percentiles) rather than raising.
+    separately from the bytes moved.  Empty ``records`` — every arrival
+    dropped, or nothing offered — yield the well-defined empty report
+    (zero requests, ``None`` percentiles) rather than raising.
 
-    ``served`` may be a columnar :class:`RequestRecords` instead of an
-    object sequence; the statistics come out byte-identical (same IEEE-754
-    operations over the same values in the same request-id order).
+    The statistics do not depend on append order: the ordered float
+    reductions (means, percentiles) run over a stable argsort by request
+    id, and the integer folds are exact.  Histogram keys come out
+    ascending.
     """
-    if isinstance(served, RequestRecords) and served:
-        return _build_report_columnar(
-            served,
-            bandwidth=bandwidth,
-            store_requests=store_requests,
-            cache_stats=cache_stats,
-            degraded_requests=degraded_requests,
-            dropped_requests=dropped_requests,
-            prefetch_bytes=prefetch_bytes,
-            prefetch_hits=prefetch_hits,
-            prefetch_wasted_bytes=prefetch_wasted_bytes,
-        )
-    if not served:
+    if not records:
         # Even with nothing served, prefetch GETs may have moved bytes.
         transfer = bandwidth.estimate(prefetch_bytes, num_requests=store_requests)
         return SLOReport(
@@ -395,83 +392,6 @@ def build_report(
             prefetch_hits=prefetch_hits,
             prefetch_wasted_bytes=prefetch_wasted_bytes,
         )
-    ordered = sorted(served, key=lambda r: r.request_id)
-    latencies = np.array([r.latency for r in ordered])
-    waits = np.array([r.queue_wait for r in ordered])
-    first_arrival = min(r.arrival_time for r in ordered)
-    last_completion = max(r.completion_time for r in ordered)
-    duration = last_completion - first_arrival
-
-    labelled = [r for r in ordered if r.label is not None]
-    # None, not NaN: NaN is invalid strict JSON and breaks == round-trips.
-    accuracy = (
-        100.0 * sum(r.correct for r in labelled) / len(labelled) if labelled else None
-    )
-
-    bytes_from_store = sum(r.bytes_from_store for r in ordered)
-    bytes_from_cache = sum(r.bytes_from_cache for r in ordered)
-    baseline_bytes = sum(r.total_bytes for r in ordered)
-    # Prefetched bytes are store traffic too: they ride the same GETs the
-    # bandwidth model prices, even though no request waited on them.
-    transfer = bandwidth.estimate(
-        bytes_from_store + prefetch_bytes, num_requests=store_requests
-    )
-
-    histogram: dict[int, int] = {}
-    for record in ordered:
-        histogram[record.resolution] = histogram.get(record.resolution, 0) + 1
-
-    return SLOReport(
-        num_requests=len(ordered),
-        duration_s=duration,
-        throughput_rps=len(ordered) / duration if duration > 0 else float("inf"),
-        mean_latency_ms=float(latencies.mean() * 1e3),
-        p50_latency_ms=_percentile_ms(latencies, 50),
-        p95_latency_ms=_percentile_ms(latencies, 95),
-        p99_latency_ms=_percentile_ms(latencies, 99),
-        mean_queue_wait_ms=float(waits.mean() * 1e3),
-        mean_batch_size=float(np.mean([r.batch_size for r in ordered])),
-        accuracy=accuracy,
-        bytes_from_store=bytes_from_store,
-        bytes_from_cache=bytes_from_cache,
-        baseline_bytes=baseline_bytes,
-        bytes_saved=baseline_bytes - bytes_from_store,
-        relative_bytes_saved=(
-            1.0 - bytes_from_store / baseline_bytes if baseline_bytes > 0 else 0.0
-        ),
-        transfer_seconds=transfer.seconds,
-        transfer_dollars=transfer.dollars,
-        cache_hit_rate=cache_stats.hit_rate if cache_stats is not None else None,
-        degraded_requests=degraded_requests,
-        resolution_histogram=histogram,
-        dropped_requests=dropped_requests,
-        prefetch_bytes=prefetch_bytes,
-        prefetch_hits=prefetch_hits,
-        prefetch_wasted_bytes=prefetch_wasted_bytes,
-    )
-
-
-def _build_report_columnar(
-    records: RequestRecords,
-    bandwidth: StorageBandwidthModel,
-    store_requests: int,
-    cache_stats: CacheStats | None,
-    degraded_requests: int,
-    dropped_requests: int,
-    prefetch_bytes: int,
-    prefetch_hits: int,
-    prefetch_wasted_bytes: int,
-) -> SLOReport:
-    """The columnar twin of the object-path fold below ``build_report``.
-
-    Every statistic is computed with the same IEEE-754 operations over the
-    same float64/int64 values in the same request-id order as the object
-    path, so the two paths agree bit-for-bit; the only intentional
-    difference is the histogram's key order (ascending here, first-seen
-    there), which neither ``==`` nor the sorted-key JSON encoding can see.
-    Integer folds are exact in both representations, so only the ordered
-    float reductions (means, percentiles) need the stable argsort.
-    """
     order = np.argsort(np.frombuffer(records.request_ids, dtype=np.int64), kind="stable")
     arrivals = np.frombuffer(records.arrival_times, dtype=np.float64)[order]
     completions = np.frombuffer(records.completion_times, dtype=np.float64)[order]

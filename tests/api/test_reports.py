@@ -8,7 +8,7 @@ from repro.api import Engine, ExperimentResult  # noqa: F401  (registers report 
 from repro.api.reports import REPORT_TYPES, Report, report_type
 from repro.serving.cache import CacheStats
 from repro.serving.fleet import FleetReport, ShardReport
-from repro.serving.metrics import ServedRequest, SLOReport, build_report
+from repro.serving.metrics import RequestRecords, ServedRequest, SLOReport, build_report
 from repro.storage.bandwidth import StorageBandwidthModel
 
 from test_engine import serving_config
@@ -38,7 +38,12 @@ def make_record(request_id: int, arrival: float) -> ServedRequest:
 
 def sample_slo(**kwargs) -> SLOReport:
     records = [make_record(request_id=i, arrival=0.001 * i) for i in range(5)]
-    return build_report(records, bandwidth=BANDWIDTH, store_requests=5, **kwargs)
+    return build_report(
+        RequestRecords.from_records(records),
+        bandwidth=BANDWIDTH,
+        store_requests=5,
+        **kwargs,
+    )
 
 
 class TestRegistry:
@@ -81,7 +86,9 @@ class TestSLORoundTrip:
         assert all(isinstance(k, int) for k in rebuilt.resolution_histogram)
 
     def test_empty_report_round_trips_through_json(self):
-        report = build_report([], bandwidth=BANDWIDTH, store_requests=0, dropped_requests=4)
+        report = build_report(
+            RequestRecords(), bandwidth=BANDWIDTH, store_requests=0, dropped_requests=4
+        )
         rebuilt = Report.from_json(report.to_json())
         assert rebuilt == report
         assert rebuilt.p99_latency_ms is None

@@ -4,10 +4,9 @@ Every config under ``examples/configs`` that produces a report has its
 canonical ``--json`` output committed under ``tests/golden``; these tests
 re-run each config through the :class:`~repro.api.engine.Engine` and
 byte-compare against the pinned file.  This is the refactor gate for the
-event-loop fast core: the vectorized path (``fast_core`` on, the default)
-and the original scalar path (``fast_core`` off) must both reproduce the
-goldens exactly — any drift in a simulated value, a float reduction order,
-or the JSON encoding fails here with the first divergent report key named.
+event loop: the goldens were captured from its original scalar form, and
+any drift in a simulated value, a float reduction order, or the JSON
+encoding fails here with the first divergent report key named.
 
 To intentionally re-pin after a behaviour change::
 
@@ -33,7 +32,7 @@ GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
 #: Configs whose report comes from ``run_experiment`` (no serving section).
 EXPERIMENT_CONFIGS = ("fig2", "table1")
-#: Configs whose report comes from ``serve`` (these exercise the fast core).
+#: Configs whose report comes from ``serve`` (these exercise the event loop).
 SERVING_CONFIGS = (
     "serving_admission",
     "serving_autoscale",
@@ -47,11 +46,9 @@ SERVING_CONFIGS = (
 ALL_CONFIGS = EXPERIMENT_CONFIGS + SERVING_CONFIGS
 
 
-def _render(name: str, fast_core: bool | None = None) -> str:
+def _render(name: str) -> str:
     """One config's canonical report text (``to_json`` plus newline)."""
     data = json.loads((CONFIG_DIR / f"{name}.json").read_text())
-    if fast_core is not None:
-        data["serving"]["fast_core"] = fast_core
     engine = Engine(EngineConfig.from_dict(data))
     if name in EXPERIMENT_CONFIGS:
         report = engine.run_experiment()
@@ -81,14 +78,14 @@ def _first_divergence(expected, actual, path: str = "$") -> str:
     return f"{path}: expected {expected!r}, got {actual!r}"
 
 
-def _assert_matches_golden(name: str, text: str, label: str) -> None:
+def _assert_matches_golden(name: str, text: str) -> None:
     golden_path = GOLDEN_DIR / f"{name}.json"
     expected = golden_path.read_text()
     if text == expected:
         return
     divergence = _first_divergence(json.loads(expected), json.loads(text))
     pytest.fail(
-        f"{name} ({label}) diverged from {golden_path.relative_to(REPO_ROOT)}\n"
+        f"{name} diverged from {golden_path.relative_to(REPO_ROOT)}\n"
         f"first divergent key: {divergence}\n"
         "If the change is intentional, re-pin with --update-golden and "
         "review the diff."
@@ -97,26 +94,13 @@ def _assert_matches_golden(name: str, text: str, label: str) -> None:
 
 @pytest.mark.parametrize("name", ALL_CONFIGS)
 def test_report_matches_golden(name: str, update_golden: bool) -> None:
-    """The default (fast-core) path reproduces the pinned report exactly."""
+    """The event loop reproduces the pinned report exactly."""
     text = _render(name)
     if update_golden:
         GOLDEN_DIR.mkdir(exist_ok=True)
         (GOLDEN_DIR / f"{name}.json").write_text(text)
         return
-    _assert_matches_golden(name, text, "fast core")
-
-
-@pytest.mark.parametrize("name", SERVING_CONFIGS)
-def test_scalar_path_matches_golden(name: str, update_golden: bool) -> None:
-    """The differential scalar path (``fast_core`` off) agrees byte-for-byte.
-
-    Together with ``test_report_matches_golden`` this pins the two event
-    loops to each other *and* to the committed artifact, so a regression in
-    either path cannot hide behind the other.
-    """
-    if update_golden:
-        pytest.skip("goldens are pinned from the default path")
-    _assert_matches_golden(name, _render(name, fast_core=False), "scalar path")
+    _assert_matches_golden(name, text)
 
 
 def test_every_golden_has_a_config() -> None:
@@ -125,8 +109,7 @@ def test_every_golden_has_a_config() -> None:
     assert pinned == set(ALL_CONFIGS)
 
 
-@pytest.mark.parametrize("fast_core", [True, False], ids=["fast", "scalar"])
-def test_disabled_elastic_sections_match_the_static_golden(fast_core: bool) -> None:
+def test_disabled_elastic_sections_match_the_static_golden() -> None:
     """Elastic sections configured but *disabled* are byte-invisible.
 
     ``replicas: 1``, ``autoscale.name: "none"`` and ``faults: []`` must
@@ -140,7 +123,6 @@ def test_disabled_elastic_sections_match_the_static_golden(fast_core: bool) -> N
     fleet["replicas"] = 1
     fleet["autoscale"] = {"name": "none"}
     fleet["faults"] = []
-    data["serving"]["fast_core"] = fast_core
     report = Engine(EngineConfig.from_dict(data)).serve()
     assert report.kind == "fleet"  # not elastic-fleet: the static path ran
     expected = (GOLDEN_DIR / "serving_sharded.json").read_text()

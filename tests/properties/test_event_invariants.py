@@ -1,26 +1,25 @@
-"""Property-based invariants of the serving event loop, on both cores.
+"""Property-based invariants of the serving event loop.
 
 The golden suite pins eight fixed configurations; hypothesis explores the
 traffic/batching parameter space around them and checks the properties no
 configuration may violate:
 
-* the fast core and the scalar core produce *equal* ``SLOReport`` objects
-  for the same traffic (the differential property the golden files sample);
-* ``stream()`` and ``trace()`` of every arrival process are value-identical
-  arrival for arrival;
+* the elided loop (nobody listening) and the emitting loop (a subscribed
+  observer) produce *equal* ``SLOReport`` objects for the same traffic;
+* a plain request list (heap pre-push) and the equivalent sorted
+  ``ArrivalStream`` (cursor merge) produce equal reports;
 * observed event timestamps are non-decreasing within a run;
 * conservation: every arrival is either completed or dropped, exactly once;
 * every flushed batch respects ``max_batch_size``.
 
-Events are collected through a subscribed observer, which deliberately
-forces the fast core's emit path on — so the invariants hold with event
-elision disabled; the first property covers the fully-elided loop, where
-the report itself is the only observable.
+Events are collected through a subscribed observer, which forces the
+emitting path on; the first property ties that path to the fully-elided
+loop, where the report itself is the only observable.
 """
 
 from __future__ import annotations
 
-import pytest
+import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +28,7 @@ from repro.core.policies import StaticResolutionPolicy
 from repro.data.dataset import SyntheticDataset
 from repro.data.profiles import IMAGENET_LIKE
 from repro.nn.resnet import resnet_tiny
-from repro.serving.arrivals import OnOffArrivals, PoissonArrivals
+from repro.serving.arrivals import PoissonArrivals
 from repro.serving.autoscale import ThresholdAutoscaler
 from repro.serving.batcher import LinearBatchCost
 from repro.serving.cache import ScanCache
@@ -45,17 +44,17 @@ from repro.serving.events import (
     ShardRemoved,
 )
 from repro.serving.fleet import ConsistentHashRouter
+from repro.serving.policies import LoadAdaptiveResolutionPolicy
 from repro.serving.server import InferenceServer, ServerConfig
-from repro.serving.workload import ArrivalStream, DiurnalArrivals
+from repro.serving.workload import ArrivalStream
 from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
 
 RESOLUTIONS = (24, 32, 48)
 
-#: Shared store/backbone: rendering and encoding images dominates example
-#: runtime, so every hypothesis example reuses one small catalogue.  The
-#: scalar/fast differential builds its own stores (the decode cache is
-#: per-store state the two runs must not share).
+#: Shared samples/backbone: rendering images dominates example runtime, so
+#: every hypothesis example reuses one small catalogue.  Each run encodes
+#: its own store, so differential runs share no decode-cache state.
 _FIXTURES: dict = {}
 
 
@@ -95,20 +94,19 @@ def _backbone():
     return _FIXTURES["backbone"]
 
 
-def _server(store: ImageStore, fast_core: bool, **config) -> InferenceServer:
+def _server(store: ImageStore, policy=None, **config) -> InferenceServer:
     defaults = dict(
         resolutions=RESOLUTIONS,
         scale_resolution=24,
         num_workers=2,
         max_batch_size=4,
         max_wait_s=0.004,
-        fast_core=fast_core,
     )
     defaults.update(config)
     return InferenceServer(
         store,
         _backbone(),
-        StaticResolutionPolicy(32),
+        policy or StaticResolutionPolicy(32),
         ServerConfig(**defaults),
         read_policy=ScanReadPolicy(),
         cache=ScanCache(capacity_bytes=150_000),
@@ -150,98 +148,94 @@ _SETTINGS = settings(
 )
 
 
-@given(params=traffic, config=knobs)
-@_SETTINGS
-def test_fast_and_scalar_cores_agree(params, config) -> None:
-    """The differential property: both cores fold to equal SLO reports."""
-    process = PoissonArrivals(
+def _poisson(params) -> PoissonArrivals:
+    return PoissonArrivals(
         rate_rps=params["rate_rps"],
         seed=params["seed"],
         zipf_alpha=params["zipf_alpha"],
     )
-    reports = {}
-    for fast_core in (False, True):
-        store = _fresh_store()
-        keys = store.keys()
-        trace = (
-            process.stream(keys, params["num_requests"])
-            if fast_core
-            else process.trace(keys, params["num_requests"])
-        )
-        server = _server(store, fast_core, **config)
-        reports[fast_core] = server.run(trace)
-    assert reports[True] == reports[False]
 
 
-@given(params=traffic)
+@given(params=traffic, config=knobs)
 @_SETTINGS
-def test_stream_matches_trace(params) -> None:
-    """``stream()`` materializes the exact requests ``trace()`` builds."""
-    keys = [key for key, _, _ in _samples()]
-    processes = [
-        PoissonArrivals(
-            rate_rps=params["rate_rps"],
-            seed=params["seed"],
-            zipf_alpha=params["zipf_alpha"],
-        ),
-        OnOffArrivals(
-            on_rate_rps=params["rate_rps"],
-            mean_on_s=0.05,
-            mean_off_s=0.1,
-            seed=params["seed"],
-            zipf_alpha=params["zipf_alpha"],
-        ),
-    ]
-    processes.append(DiurnalArrivals(base=processes[0], period_s=5.0, amplitude=0.4))
-    for process in processes:
-        stream = process.stream(keys, params["num_requests"])
-        assert isinstance(stream, ArrivalStream)
-        assert list(stream) == process.trace(keys, params["num_requests"])
+def test_elided_and_emitting_runs_agree(params, config) -> None:
+    """Event elision is invisible: a listening observer changes no report.
+
+    The load-adaptive policy reads the queue depth the elided loop must
+    still compute for it.
+    """
+    process = _poisson(params)
+    reports = []
+    for observed in (False, True):
+        store = _fresh_store()
+        policy = LoadAdaptiveResolutionPolicy(
+            StaticResolutionPolicy(48), RESOLUTIONS, queue_threshold=2
+        )
+        server = _server(store, policy=policy, **config)
+        if observed:
+            server.subscribe(_Recorder())
+        reports.append(server.run(process.stream(store.keys(), params["num_requests"])))
+    assert reports[0] == reports[1]
+
+
+@given(params=traffic, config=knobs)
+@_SETTINGS
+def test_list_and_stream_arrivals_agree(params, config) -> None:
+    """Heap pre-push of a request list equals the stream's cursor merge.
+
+    Arrival times are quantized to 1 ms so that arrivals tie with each
+    other and with runtime events, where the two paths' tie-breaking
+    must agree.
+    """
+    process = _poisson(params)
+    reports = []
+    for as_list in (False, True):
+        store = _fresh_store()
+        drawn = process.stream(store.keys(), params["num_requests"])
+        stream = ArrivalStream(np.round(drawn.times, 3), drawn.keys)
         assert stream.is_sorted
+        server = _server(store, **config)
+        reports.append(server.run(list(stream) if as_list else stream))
+    assert reports[0] == reports[1]
 
 
 @given(params=traffic, config=knobs)
 @_SETTINGS
 def test_event_stream_invariants(params, config) -> None:
     """Ordering, conservation and batch bounds hold under observation."""
-    process = PoissonArrivals(
-        rate_rps=params["rate_rps"],
-        seed=params["seed"],
-        zipf_alpha=params["zipf_alpha"],
+    process = _poisson(params)
+    store = _fresh_store()
+    recorder = _Recorder()
+    server = _server(store, **config)
+    server.subscribe(recorder)
+    trace = process.stream(store.keys(), params["num_requests"])
+    report = server.run(trace)
+
+    times = [event.time for event in recorder.events]
+    assert times == sorted(times), "events must be time-ordered"
+
+    arrivals = sum(1 for e in recorder.events if isinstance(e, RequestArrived))
+    completions = sum(
+        1 for e in recorder.events if isinstance(e, RequestCompleted)
     )
-    for fast_core in (False, True):
-        store = _fresh_store()
-        recorder = _Recorder()
-        server = _server(store, fast_core, **config)
-        server.subscribe(recorder)
-        trace = process.stream(store.keys(), params["num_requests"])
-        report = server.run(trace)
+    drops = sum(1 for e in recorder.events if isinstance(e, RequestDropped))
+    assert arrivals == params["num_requests"]
+    assert arrivals == completions + drops
+    assert report.num_requests == completions
+    assert report.dropped_requests == drops
 
-        times = [event.time for event in recorder.events]
-        assert times == sorted(times), "events must be time-ordered"
+    for event in recorder.events:
+        if isinstance(event, BatchFlushed):
+            assert 1 <= event.batch_size <= config["max_batch_size"]
+        if isinstance(event, RequestCompleted):
+            record = event.record
+            assert record.arrival_time <= record.ready_time
+            assert record.ready_time <= record.dispatch_time
+            assert record.dispatch_time <= record.completion_time
 
-        arrivals = sum(1 for e in recorder.events if isinstance(e, RequestArrived))
-        completions = sum(
-            1 for e in recorder.events if isinstance(e, RequestCompleted)
-        )
-        drops = sum(1 for e in recorder.events if isinstance(e, RequestDropped))
-        assert arrivals == params["num_requests"]
-        assert arrivals == completions + drops
-        assert report.num_requests == completions
-        assert report.dropped_requests == drops
-
-        for event in recorder.events:
-            if isinstance(event, BatchFlushed):
-                assert 1 <= event.batch_size <= config["max_batch_size"]
-            if isinstance(event, RequestCompleted):
-                record = event.record
-                assert record.arrival_time <= record.ready_time
-                assert record.ready_time <= record.dispatch_time
-                assert record.dispatch_time <= record.completion_time
-
-        stats = server.cache.stats
-        assert stats.hits + stats.misses >= 0
-        assert report.num_requests == len(server.last_served)
+    stats = server.cache.stats
+    assert stats.hits + stats.misses >= 0
+    assert report.num_requests == len(server.last_served)
 
 
 elastic_traffic = st.fixed_dictionaries(
@@ -266,7 +260,7 @@ def test_invariants_hold_across_dynamic_topology_boundaries(params) -> None:
     """
     horizon = params["num_requests"] / params["rate_rps"]
     fleet = ElasticFleet(
-        lambda shard_id: _server(_fresh_store(), fast_core=True),
+        lambda shard_id: _server(_fresh_store()),
         2,
         ConsistentHashRouter(range(2), seed=11),
         autoscale=ThresholdAutoscaler(
@@ -307,9 +301,8 @@ def test_invariants_hold_across_dynamic_topology_boundaries(params) -> None:
     )
 
 
-@pytest.mark.parametrize("fast_core", [False, True])
-def test_conservation_with_drops(fast_core: bool) -> None:
-    """Admission drops conserve requests on both cores (fixed heavy case)."""
+def test_conservation_with_drops() -> None:
+    """Admission drops conserve requests (fixed heavy case)."""
     from repro.serving.control import EwmaAdmissionController
 
     store = _fresh_store()
@@ -323,7 +316,6 @@ def test_conservation_with_drops(fast_core: bool) -> None:
             num_workers=1,
             max_batch_size=2,
             max_wait_s=0.002,
-            fast_core=fast_core,
         ),
         read_policy=ScanReadPolicy(),
         batch_cost=LinearBatchCost(),

@@ -1,8 +1,9 @@
 """Direct unit tests for the SLO percentile/aggregation math.
 
 ``build_report`` was previously only exercised through whole server runs;
-these tests pin its arithmetic down on hand-built request records: empty
-traces, single-request traces, latency ties, byte provenance sums and the
+these tests pin its arithmetic down on hand-built request records
+(columnarized with ``RequestRecords.from_records``): empty traces,
+single-request traces, latency ties, byte provenance sums and the
 deterministic text rendering.
 """
 
@@ -11,7 +12,7 @@ import math
 import pytest
 
 from repro.serving.cache import CacheStats
-from repro.serving.metrics import ServedRequest, build_report
+from repro.serving.metrics import RequestRecords, ServedRequest, build_report
 from repro.storage.bandwidth import StorageBandwidthModel
 
 BANDWIDTH = StorageBandwidthModel()
@@ -49,11 +50,16 @@ def record(
     )
 
 
+def fold(served, **kwargs):
+    """``build_report`` over hand-built object records."""
+    return build_report(RequestRecords.from_records(served), **kwargs)
+
+
 class TestEdgeCases:
     def test_empty_trace_yields_a_well_defined_empty_report(self):
         # Regression: this used to raise, which made "every arrival was
         # dropped" unreportable once admission control existed.
-        report = build_report([], bandwidth=BANDWIDTH, store_requests=0)
+        report = fold([], bandwidth=BANDWIDTH, store_requests=0)
         assert report.num_requests == 0
         assert report.duration_s == 0.0
         assert report.throughput_rps == 0.0
@@ -69,10 +75,10 @@ class TestEdgeCases:
         assert report.resolution_histogram == {}
         # The empty report still formats and round-trips deterministically.
         assert "requests served        0" in report.format()
-        assert build_report([], bandwidth=BANDWIDTH, store_requests=0) == report
+        assert fold([], bandwidth=BANDWIDTH, store_requests=0) == report
 
     def test_empty_trace_keeps_drop_accounting(self):
-        report = build_report(
+        report = fold(
             [], bandwidth=BANDWIDTH, store_requests=0, dropped_requests=7
         )
         assert report.dropped_requests == 7
@@ -81,7 +87,7 @@ class TestEdgeCases:
         assert "requests dropped       7" in report.format()
 
     def test_single_request_trace(self):
-        report = build_report([record(latency=0.02)], bandwidth=BANDWIDTH, store_requests=1)
+        report = fold([record(latency=0.02)], bandwidth=BANDWIDTH, store_requests=1)
         assert report.num_requests == 1
         assert report.duration_s == pytest.approx(0.02)
         assert report.throughput_rps == pytest.approx(50.0)
@@ -99,14 +105,14 @@ class TestEdgeCases:
 
     def test_zero_duration_reports_infinite_throughput(self):
         # Degenerate but representable: completion == arrival.
-        report = build_report([record(latency=0.0)], bandwidth=BANDWIDTH, store_requests=1)
+        report = fold([record(latency=0.0)], bandwidth=BANDWIDTH, store_requests=1)
         assert report.duration_s == 0.0
         assert math.isinf(report.throughput_rps)
 
     def test_unlabelled_requests_make_accuracy_none(self):
         # None rather than NaN: NaN is invalid strict JSON and never
         # compares equal, which would break the Report round-trip contract.
-        report = build_report(
+        report = fold(
             [record(label=None)], bandwidth=BANDWIDTH, store_requests=1
         )
         assert report.accuracy is None
@@ -119,7 +125,7 @@ class TestEdgeCases:
 class TestPercentiles:
     def test_latency_ties_collapse_all_percentiles(self):
         served = [record(request_id=i, arrival=0.001 * i, latency=0.010) for i in range(10)]
-        report = build_report(served, bandwidth=BANDWIDTH, store_requests=10)
+        report = fold(served, bandwidth=BANDWIDTH, store_requests=10)
         # All-identical latencies (up to float noise in completion - arrival)
         # collapse every percentile onto the common value.
         assert report.p50_latency_ms == pytest.approx(10.0)
@@ -130,7 +136,7 @@ class TestPercentiles:
         served = [
             record(request_id=i, arrival=0.0, latency=0.001 * (i + 1)) for i in range(100)
         ]
-        report = build_report(served, bandwidth=BANDWIDTH, store_requests=100)
+        report = fold(served, bandwidth=BANDWIDTH, store_requests=100)
         assert report.p50_latency_ms <= report.p95_latency_ms <= report.p99_latency_ms
         # Latencies 1..100 ms: numpy's linear interpolation puts p50 at 50.5.
         assert report.p50_latency_ms == pytest.approx(50.5)
@@ -138,8 +144,8 @@ class TestPercentiles:
 
     def test_report_is_order_independent(self):
         served = [record(request_id=i, arrival=0.002 * i, latency=0.001 * (i + 1)) for i in range(7)]
-        forward = build_report(served, bandwidth=BANDWIDTH, store_requests=7)
-        backward = build_report(list(reversed(served)), bandwidth=BANDWIDTH, store_requests=7)
+        forward = fold(served, bandwidth=BANDWIDTH, store_requests=7)
+        backward = fold(list(reversed(served)), bandwidth=BANDWIDTH, store_requests=7)
         assert forward == backward
 
 
@@ -149,7 +155,7 @@ class TestAggregation:
             record(request_id=0, bytes_from_store=1000, bytes_from_cache=0, total_bytes=5000),
             record(request_id=1, bytes_from_store=0, bytes_from_cache=3000, total_bytes=5000),
         ]
-        report = build_report(served, bandwidth=BANDWIDTH, store_requests=1)
+        report = fold(served, bandwidth=BANDWIDTH, store_requests=1)
         assert report.bytes_from_store == 1000
         assert report.bytes_from_cache == 3000
         assert report.baseline_bytes == 10_000
@@ -158,7 +164,7 @@ class TestAggregation:
 
     def test_transfer_pricing_matches_the_bandwidth_model(self):
         served = [record(bytes_from_store=50_000)]
-        report = build_report(served, bandwidth=BANDWIDTH, store_requests=3)
+        report = fold(served, bandwidth=BANDWIDTH, store_requests=3)
         estimate = BANDWIDTH.estimate(50_000, num_requests=3)
         assert report.transfer_seconds == estimate.seconds
         assert report.transfer_dollars == estimate.dollars
@@ -167,7 +173,7 @@ class TestAggregation:
         # Prefetched bytes ride real store GETs, so they are priced with
         # the demand bytes even though no request waited on them.
         served = [record(bytes_from_store=50_000)]
-        report = build_report(
+        report = fold(
             served, bandwidth=BANDWIDTH, store_requests=4, prefetch_bytes=10_000
         )
         estimate = BANDWIDTH.estimate(60_000, num_requests=4)
@@ -180,12 +186,12 @@ class TestAggregation:
             record(request_id=1, prediction=2, label=1),
             record(request_id=2, prediction=0, label=None),
         ]
-        report = build_report(served, bandwidth=BANDWIDTH, store_requests=3)
+        report = fold(served, bandwidth=BANDWIDTH, store_requests=3)
         assert report.accuracy == pytest.approx(50.0)
 
     def test_cache_stats_and_degradation_flow_through(self):
         stats = CacheStats(lookups=10, hits=6, partial_hits=2, misses=2)
-        report = build_report(
+        report = fold(
             [record()],
             bandwidth=BANDWIDTH,
             store_requests=1,
@@ -200,7 +206,7 @@ class TestFormat:
     def test_format_is_deterministic_and_complete(self):
         served = [record(request_id=i, resolution=24 if i % 2 else 48) for i in range(4)]
         stats = CacheStats(lookups=4, hits=2, misses=2)
-        report = build_report(
+        report = fold(
             [*served],
             bandwidth=BANDWIDTH,
             store_requests=4,
@@ -216,7 +222,7 @@ class TestFormat:
         assert text.index("24px: 2") < text.index("48px: 2")
 
     def test_format_omits_absent_sections(self):
-        report = build_report([record()], bandwidth=BANDWIDTH, store_requests=1)
+        report = fold([record()], bandwidth=BANDWIDTH, store_requests=1)
         text = report.format()
         assert "cache hit rate" not in text
         assert "degraded requests" not in text
