@@ -11,6 +11,7 @@ trades bytes read against image quality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class ProgressiveImage:
     scan_bands: tuple[ScanBand, ...]
     scan_bytes: tuple[int, ...]
     components: list[_ComponentPlanes] = field(repr=False)
+    #: ``_prefix_bytes[k]`` is ``cumulative_bytes(k)``, summed once.
+    _prefix_bytes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._prefix_bytes = tuple(accumulate(self.scan_bytes, initial=IMAGE_HEADER_BYTES))
 
     @property
     def num_scans(self) -> int:
@@ -52,13 +58,13 @@ class ProgressiveImage:
     @property
     def total_bytes(self) -> int:
         """Size of the full encoded image, headers included."""
-        return IMAGE_HEADER_BYTES + sum(self.scan_bytes)
+        return self._prefix_bytes[-1]
 
     def cumulative_bytes(self, num_scans: int) -> int:
         """Bytes that must be read to decode the first ``num_scans`` scans."""
         if not 0 <= num_scans <= self.num_scans:
             raise ValueError(f"num_scans must be in [0, {self.num_scans}]")
-        return IMAGE_HEADER_BYTES + sum(self.scan_bytes[:num_scans])
+        return self._prefix_bytes[num_scans]
 
     def relative_read_size(self, num_scans: int) -> float:
         """Fraction of the full file read when decoding ``num_scans`` scans."""

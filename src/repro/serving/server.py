@@ -38,7 +38,7 @@ requests.
 
 **Per-event overhead.**  The loop keeps per-event Python work small
 without changing a single simulated value; the goldens under
-``tests/golden`` pin the report bytes.  Four mechanisms, all
+``tests/golden`` pin the report bytes.  Five mechanisms, all
 behaviour-preserving:
 
 * *memoization at reproducible boundaries* — decoding a stored scan
@@ -64,7 +64,20 @@ behaviour-preserving:
   index cursor merged against the heap (arrivals win time ties, exactly as
   pre-pushed entries' lower tickets do), so a million-request trace never
   materializes a million heap entries or ``Request`` objects up front.
-  Closed-loop clients and plain request lists are pre-pushed onto the heap.
+  Closed-loop clients and plain request lists are pre-pushed onto the heap;
+* *per-key ingest plans* — a key's first arrival builds an
+  :class:`_IngestPlan` holding its encoded object, label, stage-1 scan
+  count and decoded prefix, and (lazily, per chosen resolution) its scan
+  count and consumed bytes.  Without a cache the whole read is a pure
+  function of ``(key, resolution)``: the first request at a resolution
+  reads the store for real, later ones replay the recorded image, bytes,
+  store counters and transfer time.  With a cache, ``read_through`` still
+  runs per request (residency is state); only the plan's facts and the
+  transfer time per ``(bytes, fetch ops)`` are reused.  The resolution
+  policy still runs per request, so load-adaptive degradation still sheds
+  bytes.  Plans assume stored objects are immutable for the life of a
+  server, as the other memo tables do; replacing :attr:`bandwidth` drops
+  them.
 """
 
 from __future__ import annotations
@@ -73,11 +86,12 @@ import heapq
 import itertools
 from collections import OrderedDict, deque
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from repro.codec.progressive import ProgressiveImage
 from repro.core.policies import ResolutionPolicy, StaticResolutionPolicy
 from repro.imaging.transforms import InferencePreprocessor
 from repro.nn.module import Module
@@ -130,6 +144,11 @@ _DONE = "done"
 _PREPROCESS_MEMO_LIMIT = 2048
 _BATCH_MEMO_LIMIT = 8192
 
+#: Shared stand-ins: static policies ignore the image, and a scope that does
+#: nothing needs no fresh context manager per batch.
+_NO_IMAGE = np.empty(0)
+_NO_SCOPE = nullcontext()
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -165,7 +184,7 @@ class ServerConfig:
             raise ValueError("crop ratio must be in (0, 1]")
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlight:
     """A request between admission and completion."""
 
@@ -177,7 +196,41 @@ class _InFlight:
     bytes_from_cache: int
     total_bytes: int
     ready_time: float
+    label: int | None = None
     dispatch_time: float = 0.0
+
+
+@dataclass(slots=True)
+class _Resolved:
+    """One key's read at one chosen resolution.
+
+    ``scans`` and ``consumed`` hold on every server.  The remaining fields
+    are the recorded outcome of a cacheless read (``image`` is ``None``
+    until the first one): what a request at this resolution fetched, and
+    the store and server counter increments its reads caused.
+    """
+
+    scans: int
+    consumed: int
+    image: np.ndarray | None = None
+    fetched: int = 0
+    ops: int = 0
+    store_reads: int = 0
+    store_bytes: int = 0
+    seconds: float = 0.0
+
+
+@dataclass(slots=True)
+class _IngestPlan:
+    """The cache-independent facts of reading one key, built on its first
+    arrival.  ``stage1_*`` are set for dynamic policies only."""
+
+    encoded: ProgressiveImage
+    total_bytes: int
+    label: int | None
+    stage1_scans: int = 0
+    stage1_image: np.ndarray | None = None
+    resolved: dict[int, _Resolved] = field(default_factory=dict)
 
 
 class InferenceServer:
@@ -206,13 +259,14 @@ class InferenceServer:
         self.cache = cache
         self.batch_cost = batch_cost or LinearBatchCost()
         self.bandwidth = bandwidth or StorageBandwidthModel()
+        self.is_dynamic = not isinstance(policy, StaticResolutionPolicy)
+        self._observes_depth = hasattr(policy, "observe_queue_depth")
         self.admission = admission or AlwaysAdmit()
         self.prefetch = prefetch or NoPrefetch()
         self.resolutions = tuple(sorted(config.resolutions))
         self.scale_resolution = config.scale_resolution or min(self.resolutions)
         self.preprocessor = InferencePreprocessor(crop_ratio=config.crop_ratio)
         self.store_requests = 0
-        self._request_fetch_ops = 0
         self.last_dropped: list[tuple[Request, str]] = []
         # Raw output of the most recent run (last_served materializes it).
         self.last_records = RequestRecords()
@@ -274,7 +328,7 @@ class InferenceServer:
         """A profiler scope when profiling is on, else a no-op context."""
         if self.profiler is not None:
             return self.profiler.scope(name)
-        return nullcontext()
+        return _NO_SCOPE
 
     # -- results -----------------------------------------------------------------
     @property
@@ -291,39 +345,84 @@ class InferenceServer:
 
     # -- reads -------------------------------------------------------------------
     @property
-    def is_dynamic(self) -> bool:
-        return not isinstance(self.policy, StaticResolutionPolicy)
+    def bandwidth(self) -> StorageBandwidthModel:
+        return self._bandwidth
+
+    @bandwidth.setter
+    def bandwidth(self, model: StorageBandwidthModel) -> None:
+        # Recorded transfer times are priced by the model, so a new link
+        # (the elastic fleet's degraded-storage windows) starts them over.
+        self._bandwidth = model
+        self._plans: dict[str, _IngestPlan] = {}
+        self._transfer_seconds: dict[tuple[int, int], float] = {}
 
     def _fetch(
         self, key: str, num_scans: int, record: bool, already_read: int = 0
     ) -> tuple[np.ndarray, int]:
         """Read through the cache (or store); returns (image, bytes_fetched)."""
         with self._scope("storage-read"):
-            return self._fetch_inner(key, num_scans, record, already_read)
-
-    def _fetch_inner(
-        self, key: str, num_scans: int, record: bool, already_read: int = 0
-    ) -> tuple[np.ndarray, int]:
-        if self.cache is not None:
-            image, read = self.cache.read_through(
-                self.store, key, num_scans, record=record, already_read=already_read
-            )
-            fetched = read.bytes_fetched
-        elif already_read:
-            image, receipt = self.store.read_additional(key, already_read, num_scans)
-            fetched = receipt.bytes_read
-        else:
-            image, receipt = self.store.read(key, num_scans)
-            fetched = receipt.bytes_read
+            if self.cache is not None:
+                image, read = self.cache.read_through(
+                    self.store, key, num_scans, record=record, already_read=already_read
+                )
+                fetched = read.bytes_fetched
+            elif already_read:
+                image, receipt = self.store.read_additional(key, already_read, num_scans)
+                fetched = receipt.bytes_read
+            else:
+                image, receipt = self.store.read(key, num_scans)
+                fetched = receipt.bytes_read
         if fetched > 0:
             self.store_requests += 1
-            self._request_fetch_ops += 1
         return image, fetched
+
+    def _read(self, key: str, stage1: int, scans: int) -> tuple[np.ndarray, int, int]:
+        """Fetch ``scans`` scans of ``key``, the stage-1 prefix first when
+        ``stage1`` is set; returns (image, bytes fetched, fetch ops)."""
+        if not stage1:
+            image, fetched = self._fetch(key, scans, record=True)
+            return image, fetched, int(fetched > 0)
+        image, fetched = self._fetch(key, stage1, record=True)
+        ops = int(fetched > 0)
+        if scans > stage1:
+            # Stage 2: top up to the chosen resolution's calibrated prefix.
+            image, extra = self._fetch(key, scans, record=False, already_read=stage1)
+            fetched += extra
+            ops += extra > 0
+        return image, fetched, ops
+
+    def _transfer(self, fetched: int, ops: int) -> float:
+        """Transfer seconds of one request's reads, memoized per server."""
+        seconds = self._transfer_seconds.get((fetched, ops))
+        if seconds is None:
+            seconds = self.bandwidth.estimate(fetched, num_requests=ops).seconds
+            self._transfer_seconds[(fetched, ops)] = seconds
+        return seconds
+
+    def _plan(self, key: str) -> _IngestPlan:
+        stored = self.store.metadata(key)
+        encoded = stored.encoded
+        plan = self._plans[key] = _IngestPlan(encoded, encoded.total_bytes, stored.label)
+        if self.is_dynamic:
+            # Stage 1: the cheap prefix the scale model sees.
+            plan.stage1_scans = self.read_policy.scans_for(
+                encoded, self.scale_resolution, key=key
+            )
+            plan.stage1_image = encoded.decode(plan.stage1_scans)
+        return plan
+
+    def _resolve(self, plan: _IngestPlan, key: str, resolution: int) -> _Resolved:
+        scans = max(
+            plan.stage1_scans,
+            self.read_policy.scans_for(plan.encoded, resolution, key=key),
+        )
+        resolved = plan.resolved[resolution] = _Resolved(
+            scans, plan.encoded.cumulative_bytes(scans)
+        )
+        return resolved
 
     def _probe(self, request: Request, requested_scans: int, now: float) -> None:
         """Narrate the pre-read cache probe for one admitted arrival."""
-        if not self._emit_on:
-            return
         self._emit(
             CacheProbed(
                 time=now,
@@ -337,56 +436,62 @@ class InferenceServer:
 
     def _ingest(self, request: Request, now: float, queue_depth: int) -> _InFlight:
         """Run the read + resolution-selection stages for one admitted arrival."""
-        stored = self.store.metadata(request.key)
-        encoded = stored.encoded
-
-        if hasattr(self.policy, "observe_queue_depth"):
+        key = request.key
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plan(key)
+        if self._observes_depth:
             self.policy.observe_queue_depth(queue_depth)
 
-        self._request_fetch_ops = 0
-        scale_seconds = 0.0
-        if self.is_dynamic:
-            # Stage 1: cheap prefix for the scale model.
-            stage1_scans = self.read_policy.scans_for(
-                encoded, self.scale_resolution, key=request.key
-            )
-            self._probe(request, stage1_scans, now)
-            image, fetched = self._fetch(request.key, stage1_scans, record=True)
+        stage1 = plan.stage1_scans
+        if stage1:
+            if self._emit_on:
+                self._probe(request, stage1, now)
             # The decoded prefix is a pure function of (key, scans), so the
             # scale model's per-image choice can memoize under that token
             # (queue-dependent degradation still runs fresh).
-            resolution = self.policy.select_cached(image, (request.key, stage1_scans))
+            resolution = self.policy.select_cached(plan.stage1_image, (key, stage1))
             scale_seconds = self.config.scale_model_seconds
-
-            # Stage 2: top up to the chosen resolution's calibrated prefix.
-            scans = max(
-                stage1_scans,
-                self.read_policy.scans_for(encoded, resolution, key=request.key),
-            )
-            if scans > stage1_scans:
-                image, extra = self._fetch(
-                    request.key, scans, record=False, already_read=stage1_scans
-                )
-                fetched += extra
         else:
-            resolution = self.policy.select(np.empty(0))
-            scans = self.read_policy.scans_for(encoded, resolution, key=request.key)
-            self._probe(request, scans, now)
-            image, fetched = self._fetch(request.key, scans, record=True)
+            resolution = self.policy.select(_NO_IMAGE)
+            scale_seconds = 0.0
+        resolved = plan.resolved.get(resolution)
+        if resolved is None:
+            resolved = self._resolve(plan, key, resolution)
+        if not stage1 and self._emit_on:
+            self._probe(request, resolved.scans, now)
 
-        # Whatever the request consumed but did not fetch was cache-resident.
-        consumed = encoded.cumulative_bytes(scans)
-        from_cache = consumed - fetched if self.cache is not None else 0
-        transfer = self.bandwidth.estimate(fetched, num_requests=self._request_fetch_ops)
+        if self.cache is not None:
+            image, fetched, ops = self._read(key, stage1, resolved.scans)
+            # Whatever the request consumed but did not fetch was cache-resident.
+            from_cache = resolved.consumed - fetched
+            seconds = self._transfer(fetched, ops)
+        else:
+            store = self.store
+            if resolved.image is None:
+                reads, read_bytes = store.read_count, store.total_bytes_read
+                resolved.image, resolved.fetched, resolved.ops = self._read(
+                    key, stage1, resolved.scans
+                )
+                resolved.store_reads = store.read_count - reads
+                resolved.store_bytes = store.total_bytes_read - read_bytes
+                resolved.seconds = self._transfer(resolved.fetched, resolved.ops)
+            else:
+                store.read_count += resolved.store_reads
+                store.total_bytes_read += resolved.store_bytes
+                self.store_requests += resolved.ops
+            image, fetched, from_cache = resolved.image, resolved.fetched, 0
+            seconds = resolved.seconds
         return _InFlight(
             request=request,
             image=image,
             resolution=resolution,
-            scans_read=scans,
+            scans_read=resolved.scans,
             bytes_from_store=fetched,
             bytes_from_cache=from_cache,
-            total_bytes=encoded.total_bytes,
-            ready_time=now + transfer.seconds + scale_seconds,
+            total_bytes=plan.total_bytes,
+            ready_time=now + seconds + scale_seconds,
+            label=plan.label,
         )
 
     # -- prefetch ----------------------------------------------------------------
@@ -497,8 +602,7 @@ class InferenceServer:
         admission_noop = type(self.admission) is AlwaysAdmit
         emit_on = active_observers or not prefetch_noop
         self._emit_on = emit_on
-        observes_depth = hasattr(self.policy, "observe_queue_depth")
-        needs_depth = emit_on or not admission_noop or observes_depth
+        needs_depth = emit_on or not admission_noop or self._observes_depth
 
         # A sorted open-loop ArrivalStream is consumed through an index
         # cursor merged against the heap instead of pre-heaping N entries.
@@ -655,7 +759,7 @@ class InferenceServer:
                 batch_size = len(items)
                 for item, prediction in zip(items, predictions):
                     request = item.request
-                    label = self.store.metadata(request.key).label
+                    label = item.label
                     records.append(
                         request.request_id,
                         request.key,

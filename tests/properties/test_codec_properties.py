@@ -1,13 +1,18 @@
 """Property-based tests (hypothesis) for the codec and image metrics."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.codec.dct import block_dct2, block_idct2, blockify, unblockify
 from repro.codec.progressive import ProgressiveEncoder
 from repro.codec.scans import spectral_bands
-from repro.codec.size_model import estimate_band_bits, magnitude_category
+from repro.codec.size_model import (
+    IMAGE_HEADER_BYTES,
+    estimate_band_bits,
+    magnitude_category,
+)
 from repro.imaging.metrics import psnr, ssim
 from repro.imaging.resize import resize
 
@@ -88,6 +93,20 @@ class TestProgressiveProperties:
             assert score >= previous_ssim - 0.02  # allow tiny non-monotonicity
             previous_ssim = score
         assert encoded.cumulative_bytes(encoded.num_scans) == encoded.total_bytes
+
+    @given(small_images(), st.integers(min_value=2, max_value=12))
+    @settings(**_SETTINGS)
+    def test_cumulative_bytes_equals_the_header_plus_a_scan_sum(self, image, num_scans):
+        """The precomputed prefix table agrees with summing ``scan_bytes``
+        for every prefix, and still rejects counts outside ``[0, num_scans]``."""
+        encoded = ProgressiveEncoder(num_scans=num_scans).encode(image)
+        for k in range(encoded.num_scans + 1):
+            expected = IMAGE_HEADER_BYTES + sum(encoded.scan_bytes[:k])
+            assert encoded.cumulative_bytes(k) == expected
+        assert encoded.total_bytes == IMAGE_HEADER_BYTES + sum(encoded.scan_bytes)
+        for bad in (-1, encoded.num_scans + 1):
+            with pytest.raises(ValueError):
+                encoded.cumulative_bytes(bad)
 
     @given(small_images())
     @settings(**_SETTINGS)

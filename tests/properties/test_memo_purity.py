@@ -1,9 +1,10 @@
 """Memo purity: every memo table in the serving path equals its reference.
 
-The event loop memoizes four pure stages — the progressive decode per
+The event loop memoizes five pure stages — the progressive decode per
 ``(image, scans)``, preprocessing per ``(key, scans_read, resolution)``,
-the scale model's choice per ``(key, stage1_scans)``, and whole-batch
-execution per batch signature.  Each memo is only sound if a hit returns
+the scale model's choice per ``(key, stage1_scans)``, whole-batch
+execution per batch signature, and each key's ingest plan (its read
+outcome per chosen resolution).  Each memo is only sound if a hit returns
 exactly what a fresh computation would.  These properties check that
 bit for bit, against the un-memoized function each memo wraps, over
 random keys, scan counts, resolutions and batch compositions.  The draws
@@ -11,6 +12,9 @@ repeat keys on purpose, so most lookups after the first are memo hits.
 """
 
 from __future__ import annotations
+
+import copy
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -25,8 +29,10 @@ from repro.data.profiles import IMAGENET_LIKE
 from repro.nn.mobilenet import mobilenet_tiny
 from repro.nn.module import Module
 from repro.serving.arrivals import Request
+from repro.serving.cache import ScanCache
 from repro.serving.policies import LoadAdaptiveResolutionPolicy
 from repro.serving.server import InferenceServer, ServerConfig, _InFlight
+from repro.storage.policy import ScanReadPolicy
 from repro.storage.store import ImageStore
 
 RESOLUTIONS = (24, 32, 48)
@@ -231,3 +237,152 @@ def test_batch_memo_matches_a_fresh_forward(
         server.backbone.eval()
         fresh = np.argmax(server.backbone(inputs), axis=1)
         _assert_bitwise(memoized, fresh)
+
+
+# -- ingest plans ------------------------------------------------------------------
+
+THRESHOLDS = {24: 0.90, 32: 0.92, 48: 0.95}
+SCALE_MODEL_SECONDS = 0.0004
+#: The keys' objects are 3.4-5.4 KB, so this holds only a few prefixes at a
+#: time: cached draws see hits, partial hits, misses and evictions.
+CACHE_BYTES = 6_000
+
+
+@pytest.fixture(scope="module")
+def encoded_samples(samples):
+    encoder = ProgressiveEncoder(quality=85)
+    return [(key, encoder.encode(image), label) for key, image, label in samples]
+
+
+@pytest.fixture(scope="module")
+def scan_decisions(encoded_samples) -> dict:
+    """Every (key, resolution) SSIM decision, computed once: the read
+    policy's own cache is not the memo under test here."""
+    read_policy = ScanReadPolicy(ssim_thresholds=THRESHOLDS)
+    for key, encoded, _ in encoded_samples:
+        for resolution in RESOLUTIONS:
+            read_policy.scans_for(encoded, resolution, key=key)
+    return read_policy.cache
+
+
+@pytest.fixture(scope="module")
+def predictor() -> ScaleModelPredictor:
+    scale_model = mobilenet_tiny(num_classes=len(RESOLUTIONS), seed=1)
+    return ScaleModelPredictor(scale_model, RESOLUTIONS, scale_resolution=24)
+
+
+def _policy(kind: str, predictor: ScaleModelPredictor):
+    if kind == "static":
+        return StaticResolutionPolicy(32)
+    dynamic = DynamicResolutionPolicy(predictor)
+    if kind == "dynamic":
+        return dynamic
+    return LoadAdaptiveResolutionPolicy(dynamic, RESOLUTIONS, queue_threshold=8)
+
+
+def _plan_server(encoded_samples, scan_decisions, policy, cache) -> InferenceServer:
+    """A server with no plans yet, over its own store (own byte counters)."""
+    store = ImageStore()
+    for key, encoded, label in encoded_samples:
+        store.put_encoded(key, encoded, label=label)
+    return InferenceServer(
+        store,
+        _BrightestValue(),
+        policy,
+        ServerConfig(
+            resolutions=RESOLUTIONS,
+            scale_resolution=24,
+            scale_model_seconds=SCALE_MODEL_SECONDS,
+        ),
+        read_policy=ScanReadPolicy(ssim_thresholds=THRESHOLDS, cache=dict(scan_decisions)),
+        cache=cache,
+    )
+
+
+@pytest.fixture(scope="module")
+def warm_servers(encoded_samples, scan_decisions, predictor):
+    """One server per (policy, cache) shape whose plans persist across every
+    hypothesis example, so most ingests replay a recorded plan."""
+    servers: dict = {}
+
+    def get(kind: str, cached: bool) -> InferenceServer:
+        if (kind, cached) not in servers:
+            servers[(kind, cached)] = _plan_server(
+                encoded_samples,
+                scan_decisions,
+                _policy(kind, predictor),
+                ScanCache(CACHE_BYTES) if cached else None,
+            )
+        return servers[(kind, cached)]
+
+    return get
+
+
+def _ingest(server: InferenceServer, request: Request, now: float, depth: int):
+    """One ingest, plus the store and server counter increments it caused."""
+    store = server.store
+    before = (store.read_count, store.total_bytes_read, server.store_requests)
+    item = server._ingest(request, now, depth)
+    after = (store.read_count, store.total_bytes_read, server.store_requests)
+    return item, tuple(a - b for a, b in zip(after, before))
+
+
+def _assert_same_item(warm: _InFlight, fresh: _InFlight) -> None:
+    for item_field in fields(_InFlight):
+        left = getattr(warm, item_field.name)
+        right = getattr(fresh, item_field.name)
+        if isinstance(left, np.ndarray):
+            _assert_bitwise(left, right)
+        elif isinstance(left, float):
+            assert left.hex() == right.hex(), item_field.name
+        else:
+            assert left == right, item_field.name
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["cacheless", "cached"])
+@pytest.mark.parametrize("kind", ["static", "dynamic", "adaptive"])
+@given(
+    draws=st.lists(
+        st.tuples(
+            st.integers(0, NUM_KEYS - 1),
+            st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+            st.integers(0, 30),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@_SETTINGS
+def test_ingest_plan_matches_a_fresh_server(
+    encoded_samples, scan_decisions, predictor, warm_servers, kind, cached, draws
+) -> None:
+    """A warm server's ingest equals a plan-less server's, bit for bit.
+
+    Same key, arrival time and queue depth give equal ``_InFlight`` fields
+    and equal increments of ``store.read_count``, ``store.total_bytes_read``
+    and ``server.store_requests``.  A cached fresh server starts from a copy
+    of the warm cache, since residency is state the plan must not capture.
+    ``ready_time`` is also checked against the transfer model directly.
+    """
+    warm = warm_servers(kind, cached)
+    scale_seconds = 0.0 if kind == "static" else SCALE_MODEL_SECONDS
+    for request_id, (key_index, now, depth) in enumerate(draws):
+        request = Request(request_id=request_id, key=f"img{key_index}", arrival_time=now)
+        fresh = _plan_server(
+            encoded_samples,
+            scan_decisions,
+            _policy(kind, predictor),
+            copy.deepcopy(warm.cache),
+        )
+        warm_item, warm_deltas = _ingest(warm, request, now, depth)
+        fresh_item, fresh_deltas = _ingest(fresh, request, now, depth)
+        _assert_same_item(warm_item, fresh_item)
+        assert warm_deltas == fresh_deltas
+        if cached:
+            assert warm.cache.lru_keys() == fresh.cache.lru_keys()
+            assert warm.cache.bytes_cached == fresh.cache.bytes_cached
+        transfer = fresh.bandwidth.estimate(
+            fresh_item.bytes_from_store, num_requests=fresh_deltas[2]
+        )
+        expected = now + transfer.seconds + scale_seconds
+        assert fresh_item.ready_time.hex() == expected.hex()
