@@ -70,64 +70,41 @@ class Conv2d(Module):
 
     # -- forward ------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
-        out_n, out_c, out_h, out_w = self.output_shape(x.shape)
+        n = x.shape[0]
+        _, _, out_h, out_w = self.output_shape(x.shape)
         k = self.kernel_size
-        group_in = self.in_channels // self.groups
-        group_out = self.out_channels // self.groups
-
-        out = np.empty((n, self.out_channels, out_h, out_w), dtype=np.float64)
-        cols_per_group: list[np.ndarray] = []
-        for g in range(self.groups):
-            x_g = x[:, g * group_in : (g + 1) * group_in]
-            cols = im2col(x_g, k, k, self.stride, self.padding)
-            cols_per_group.append(cols)
-            w_g = self.weight.value[g * group_out : (g + 1) * group_out]
-            w_mat = w_g.reshape(group_out, group_in * k * k)
-            # (N, group_out, out_h*out_w)
-            out_g = np.einsum("oc,ncl->nol", w_mat, cols, optimize=True)
-            out[:, g * group_out : (g + 1) * group_out] = out_g.reshape(
-                n, group_out, out_h, out_w
-            )
+        g = self.groups
+        # One unfold for every group: im2col's rows are channel-major, so
+        # group g's patch rows are the contiguous block g of (G, Cg*k*k).
+        cols = im2col(x, k, k, self.stride, self.padding).reshape(n, g, -1, out_h * out_w)
+        out = np.matmul(self.weight.value.reshape(g, self.out_channels // g, -1), cols)
+        out = out.reshape(n, self.out_channels, out_h, out_w)
         if self.has_bias:
             out += self.bias.value.reshape(1, -1, 1, 1)
-        self._cache = (x.shape, cols_per_group)
+        self._cache = (x.shape, cols)
         return out
 
     # -- backward -----------------------------------------------------------
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        input_shape, cols_per_group = self._cache
-        n, _, out_h, out_w = grad_output.shape
+        input_shape, cols = self._cache
+        n, g = grad_output.shape[0], self.groups
         k = self.kernel_size
-        group_in = self.in_channels // self.groups
-        group_out = self.out_channels // self.groups
 
         if self.has_bias:
             self.bias.grad += grad_output.sum(axis=(0, 2, 3))
 
-        grad_input = np.empty(input_shape, dtype=np.float64)
-        for g in range(self.groups):
-            grad_out_g = grad_output[:, g * group_out : (g + 1) * group_out]
-            grad_out_mat = grad_out_g.reshape(n, group_out, out_h * out_w)
-            cols = cols_per_group[g]
+        # (N, G, Og, L), the layout of the forward product.
+        grad_out = grad_output.reshape(n, g, self.out_channels // g, -1)
+        # weight gradient: grad_out @ cols^T per group, summed over the batch
+        grad_w = np.matmul(grad_out, cols.transpose(0, 1, 3, 2)).sum(axis=0)
+        self.weight.grad += grad_w.reshape(self.weight.grad.shape)
 
-            # weight gradient: sum over batch of grad_out @ cols^T
-            grad_w = np.einsum("nol,ncl->oc", grad_out_mat, cols, optimize=True)
-            self.weight.grad[g * group_out : (g + 1) * group_out] += grad_w.reshape(
-                group_out, group_in, k, k
-            )
-
-            # input gradient: W^T @ grad_out, folded back with col2im
-            w_g = self.weight.value[g * group_out : (g + 1) * group_out]
-            w_mat = w_g.reshape(group_out, group_in * k * k)
-            grad_cols = np.einsum("oc,nol->ncl", w_mat, grad_out_mat, optimize=True)
-            group_shape = (input_shape[0], group_in, input_shape[2], input_shape[3])
-            grad_input[:, g * group_in : (g + 1) * group_in] = col2im(
-                grad_cols, group_shape, k, k, self.stride, self.padding
-            )
-        return grad_input
+        # input gradient: W^T @ grad_out per group, folded back with col2im
+        w = self.weight.value.reshape(g, self.out_channels // g, -1)
+        grad_cols = np.matmul(w.transpose(0, 2, 1), grad_out)
+        return col2im(grad_cols, input_shape, k, k, self.stride, self.padding)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
